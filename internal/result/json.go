@@ -3,9 +3,11 @@ package result
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"unicode/utf8"
 )
 
 // cellJSON is the wire form of a Cell: exactly one of s/i/f/b is present
@@ -30,6 +32,9 @@ func (c Cell) MarshalJSON() ([]byte, error) {
 	var w cellJSON
 	switch c.Kind {
 	case KindString:
+		if !utf8.ValidString(c.S) {
+			return nil, errInvalidUTF8
+		}
 		// The pointer keeps the empty string present: a cell must carry
 		// exactly one value key.
 		w.S = &c.S
@@ -73,62 +78,22 @@ func (c Cell) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON decodes the canonical cell encoding, rejecting cells
-// that carry zero or several value keys, unknown keys (the envelope's
-// DisallowUnknownFields cannot see inside a custom unmarshaler), or
-// annotations on kinds that cannot carry them — a foreign object that
-// would lose data on re-encoding must fail loudly, not round-trip
-// differently.
+// UnmarshalJSON decodes the canonical cell encoding — exactly what
+// MarshalJSON writes, under the same grammar and cell rules the table
+// decoder applies (see parser): exactly one value key, prec only on
+// floats, err and bound only on numbers, known bound names, no unknown
+// keys. A foreign cell that would lose data or change spelling on
+// re-encoding fails loudly instead of round-tripping differently.
 func (c *Cell) UnmarshalJSON(data []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var w cellJSON
-	if err := dec.Decode(&w); err != nil {
-		return err
+	p := parser{src: string(data)}
+	cell, err := p.cell()
+	if err == nil && p.pos != len(p.src) {
+		err = p.fail("trailing data after the cell")
 	}
-	set := 0
-	for _, ok := range []bool{w.S != nil, w.I != nil, w.F != nil, w.B != nil} {
-		if ok {
-			set++
-		}
+	if err != nil {
+		return fmt.Errorf("result: decoding cell: %w", err)
 	}
-	if set != 1 {
-		return fmt.Errorf("result: cell %s carries %d value keys, want 1", data, set)
-	}
-	if w.Prec != 0 && w.F == nil {
-		return fmt.Errorf("result: cell %s carries prec on a non-float value", data)
-	}
-	numeric := w.F != nil || w.I != nil
-	if w.Err != 0 && !numeric {
-		return fmt.Errorf("result: cell %s carries err on a non-numeric value", data)
-	}
-	if w.Bound != "" && !numeric {
-		return fmt.Errorf("result: cell %s carries bound on a non-numeric value", data)
-	}
-	*c = Cell{Err: w.Err}
-	switch {
-	case w.S != nil:
-		c.Kind, c.S = KindString, *w.S
-	case w.I != nil:
-		c.Kind, c.I = KindInt, *w.I
-	case w.F != nil:
-		c.Kind, c.F, c.Prec = KindFloat, *w.F, w.Prec
-	case w.B != nil:
-		c.Kind = KindBool
-		if *w.B {
-			c.I = 1
-		}
-	}
-	switch w.Bound {
-	case "":
-		c.Bound = BoundNone
-	case "upper":
-		c.Bound = BoundUpper
-	case "lower":
-		c.Bound = BoundLower
-	default:
-		return fmt.Errorf("result: unknown bound annotation %q", w.Bound)
-	}
+	*c = cell
 	return nil
 }
 
@@ -145,12 +110,24 @@ type tableJSON struct {
 	Shape   string   `json:"shape"`
 }
 
+// errInvalidUTF8 refuses text with no round-trippable JSON form:
+// encoding/json writes invalid bytes as U+FFFD, which then re-encodes
+// differently, so the decoder (which accepts only bytes that re-encode
+// to themselves) could never read the object back.
+var errInvalidUTF8 = errors.New("result: invalid UTF-8 in table text")
+
 // CanonicalJSON returns the canonical byte encoding of the table:
 // encoding/json over a fixed-field-order envelope, with floats in Go's
 // shortest round-trip form. Equal tables produce equal bytes, which is
-// the property the fingerprinted store relies on.
+// the property the fingerprinted store relies on. Tables whose text is
+// not valid UTF-8 are refused, like non-finite floats.
 func (t *Table) CanonicalJSON() ([]byte, error) {
 	encodes.Add(1)
+	for _, s := range append([]string{t.ID, t.Title, t.Claim, t.Shape}, t.Columns...) {
+		if !utf8.ValidString(s) {
+			return nil, errInvalidUTF8
+		}
+	}
 	return json.Marshal(tableJSON{
 		Schema:  SchemaVersion,
 		ID:      t.ID,
@@ -174,26 +151,49 @@ func (t *Table) EncodeJSON(w io.Writer) error {
 	return err
 }
 
-// DecodeJSON reads one canonical table encoding, rejecting unknown
-// fields and schema versions this code does not understand.
+// DecodeJSON reads one canonical table encoding, optionally followed by
+// the newline EncodeJSON writes. It accepts the canonical bytes only —
+// any other spelling, unknown fields and schema versions this code does
+// not understand are errors — so a decoded table re-encodes to exactly
+// its input. The whole reader is consumed; bound it (io.LimitReader)
+// when the source is untrusted.
 func DecodeJSON(r io.Reader) (*Table, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var w tableJSON
-	if err := dec.Decode(&w); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("result: decoding table: %w", err)
 	}
-	if w.Schema != SchemaVersion {
-		return nil, fmt.Errorf("result: table has schema version %d, this code reads %d", w.Schema, SchemaVersion)
+	return decode(bytes.TrimSuffix(data, []byte("\n")))
+}
+
+// FromVerified decodes canonical table bytes whose integrity the caller
+// has already proven — the store tiers call it after an envelope's
+// SHA-256 matched — and seeds the table's EncodedJSON memo with those
+// bytes plus the trailing newline. Every later view of the table (a
+// memory-tier backfill, a response body, a write-through Put) then
+// shares the stored bytes instead of encoding them again. The decoder
+// accepts canonical bytes only, so the seeded memo is exactly what
+// CanonicalJSON would have produced. The input is copied; the caller
+// keeps ownership of canonical.
+func FromVerified(canonical []byte) (*Table, error) {
+	t, err := decode(canonical)
+	if err != nil {
+		return nil, err
 	}
-	return &Table{
-		ID:      w.ID,
-		Title:   w.Title,
-		Claim:   w.Claim,
-		Columns: w.Columns,
-		Rows:    w.Rows,
-		Shape:   w.Shape,
-	}, nil
+	wire := make([]byte, len(canonical)+1)
+	copy(wire, canonical)
+	wire[len(canonical)] = '\n'
+	t.enc.jsonOnce.Do(func() { t.enc.json = wire })
+	return t, nil
+}
+
+// decode runs the canonical parser over one table encoding.
+func decode(data []byte) (*Table, error) {
+	p := parser{src: string(data)}
+	t, err := p.table()
+	if err != nil {
+		return nil, fmt.Errorf("result: decoding table: %w", err)
+	}
+	return t, nil
 }
 
 // Equal reports whether two tables hold identical typed data. It is the

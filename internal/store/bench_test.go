@@ -25,8 +25,11 @@ func benchTable(rows int) *result.Table {
 	return t
 }
 
+// BenchTable exposes the fixture to the external-package benchmarks.
+var BenchTable = benchTable
+
 // BenchmarkGetHit is the serving hot path: one cached-table lookup —
-// file read, envelope parse, SHA-256 checksum, canonical decode. The
+// file read, envelope split, SHA-256 checksum, canonical decode. The
 // baseline lives in BENCH_STORE.json; bccserve's target of ~10k req/s
 // on a laptop rests on this number.
 func BenchmarkGetHit(b *testing.B) {
@@ -38,6 +41,7 @@ func BenchmarkGetHit(b *testing.B) {
 	if err := s.Put(k, benchTable(24)); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := s.Get(context.Background(), k); !ok {

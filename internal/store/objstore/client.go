@@ -7,7 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
+
+	"repro/internal/store"
 )
 
 // Mem is an in-memory ObjectClient: the single-process stand-in for a
@@ -66,40 +67,6 @@ type FS struct {
 	dir string
 }
 
-// orphanTTL is how old a leftover "put-*" temp file must be before the
-// startup sweep removes it. The bucket directory is shared across
-// replicas, so a young temp file may be another replica's in-flight
-// write whose rename would fail if we deleted it out from under it; a
-// crash's debris, by contrast, only gets older. An hour is far beyond
-// any write's lifetime.
-const orphanTTL = time.Hour
-
-// sweepOrphans removes stale "put-*" temp files — writers that crashed
-// between CreateTemp and Rename. Per-file failures are ignored: on a
-// shared volume another replica's sweep may win the race, and orphans
-// are invisible to Get either way (reads match exact object keys).
-func (f *FS) sweepOrphans(ttl time.Duration) int {
-	removed := 0
-	cutoff := time.Now().Add(-ttl)
-	des, err := os.ReadDir(f.dir)
-	if err != nil {
-		return 0
-	}
-	for _, de := range des {
-		if !strings.HasPrefix(de.Name(), "put-") || de.IsDir() {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil || info.ModTime().After(cutoff) {
-			continue
-		}
-		if os.Remove(filepath.Join(f.dir, de.Name())) == nil {
-			removed++
-		}
-	}
-	return removed
-}
-
 // NewFS returns a client rooted at dir, creating it if needed. Stale
 // temp files orphaned by a crash mid-Put are swept so a crash-looping
 // replica cannot fill the shared volume with invisible debris.
@@ -107,9 +74,8 @@ func NewFS(dir string) (*FS, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("objstore: creating %s: %w", dir, err)
 	}
-	f := &FS{dir: dir}
-	f.sweepOrphans(orphanTTL)
-	return f, nil
+	store.SweepOrphans("put-", dir)
+	return &FS{dir: dir}, nil
 }
 
 // Name identifies the client in stats.
@@ -149,17 +115,5 @@ func (f *FS) Put(_ context.Context, key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(f.dir, "put-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), p)
+	return store.WriteAtomic(p, "put-*", data)
 }

@@ -32,21 +32,24 @@
 // # Object format
 //
 // One object per fingerprint, named "<fingerprint>.json", holding the
-// same envelope as the disk store: the table's canonical JSON plus a
-// SHA-256 checksum of those bytes. Shared media are exactly where torn
-// and damaged writes happen, so the shared tier keeps the local tier's
+// disk store's envelope (store.EncodeEnvelope) without its trailing
+// newline:
+//
+//	{"checksum":"<64 hex>","table":<canonical table JSON>}
+//
+// Both tiers read it with the one codec, store.DecodeEnvelope: the fixed
+// layout, the SHA-256 of the table bytes, a canonical decode, and the
+// table's id against the key's. Shared media are exactly where torn and
+// damaged writes happen, so the shared tier keeps the local tier's
 // damage discipline; a failed check is a miss and the next writer's
-// atomic overwrite heals the object.
+// atomic overwrite heals the object. A verified hit serves the stored
+// table bytes as they are — its encoded view is never rebuilt.
 package objstore
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -79,13 +82,6 @@ type ObjectClient interface {
 	Get(ctx context.Context, key string) ([]byte, error)
 	// Put stores data under key, overwriting atomically.
 	Put(ctx context.Context, key string, data []byte) error
-}
-
-// envelope is the stored object form: canonical table bytes plus their
-// SHA-256, mirroring the disk store's damage discipline.
-type envelope struct {
-	Checksum string          `json:"checksum"`
-	Table    json.RawMessage `json:"table"`
 }
 
 // Tier is the shared-bucket store tier. It is safe for concurrent use.
@@ -169,29 +165,13 @@ func (t *Tier) Get(ctx context.Context, k store.Key) (*result.Table, bool) {
 		}
 		return nil, false
 	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		t.recordGet(fmt.Errorf("objstore: %s: damaged envelope: %w", k.Fingerprint, err))
-		t.errors.Add(1)
-		return nil, false
-	}
-	sum := sha256.Sum256(env.Table)
-	if hex.EncodeToString(sum[:]) != env.Checksum {
-		t.recordGet(fmt.Errorf("objstore: %s: checksum mismatch", k.Fingerprint))
-		t.errors.Add(1)
-		return nil, false
-	}
-	tab, err := result.DecodeJSON(strings.NewReader(string(env.Table)))
-	if err != nil {
-		t.recordGet(fmt.Errorf("objstore: %s: undecodable table: %w", k.Fingerprint, err))
-		t.errors.Add(1)
-		return nil, false
-	}
-	// The key names the object, the body names the experiment; a bucket
+	// The codec checks the layout, the checksum and the identity: the
+	// key names the object, the body names the experiment, and a bucket
 	// shared by a misconfigured writer (or a hand-copied object) must
 	// not answer for the wrong table.
-	if tab.ID != k.ID {
-		t.recordGet(fmt.Errorf("objstore: %s: answered table %q for %q", k.Fingerprint, tab.ID, k.ID))
+	tab, err := store.DecodeEnvelope(raw, k)
+	if err != nil {
+		t.recordGet(fmt.Errorf("objstore: %s: %w", k.Fingerprint, err))
 		t.errors.Add(1)
 		return nil, false
 	}
@@ -215,8 +195,9 @@ func (t *Tier) recordPut(err error) {
 	}
 }
 
-// Put write-throughs t's table into the bucket. The encode is memoized
-// on the table (free for any table a tier has touched); the write is
+// Put write-throughs t's table into the bucket. The envelope wraps the
+// table's memoized wire bytes (free for any table a tier has touched,
+// including one decoded from a verified object); the write is
 // bounded by the tier's put timeout. Failures degrade sharing only —
 // callers may ignore the error, per the Backend contract.
 func (t *Tier) Put(k store.Key, tab *result.Table) error {
@@ -227,17 +208,11 @@ func (t *Tier) Put(k store.Key, tab *result.Table) error {
 		t.putShortCircuits.Add(1)
 		return fmt.Errorf("objstore: put %s short-circuited: breaker open", k.Fingerprint)
 	}
-	body, err := tab.CanonicalJSON()
+	raw, err := store.EncodeEnvelope(tab)
 	if err != nil {
 		// A local encode failure says nothing about the bucket's health.
 		t.putErrors.Add(1)
 		return fmt.Errorf("objstore: encoding %s: %w", k.ID, err)
-	}
-	sum := sha256.Sum256(body)
-	raw, err := json.Marshal(envelope{Checksum: hex.EncodeToString(sum[:]), Table: body})
-	if err != nil {
-		t.putErrors.Add(1)
-		return fmt.Errorf("objstore: enveloping %s: %w", k.ID, err)
 	}
 	//bcclint:allow(ctxflow) Backend.Put carries no context by contract: write-through persistence is best-effort, off the request path, and must survive the request that triggered it; the tier supplies its own bound
 	ctx, cancel := context.WithTimeout(context.Background(), t.putTimeout)

@@ -74,6 +74,34 @@ func TestPutGetRoundTrip(t *testing.T) {
 	})
 }
 
+// TestPutReusesMemoizedEncoding: a write-through of a table whose wire
+// bytes are already memoized — by any tier, a response, or a verified
+// read — wraps those bytes and performs no raw encode.
+func TestPutReusesMemoizedEncoding(t *testing.T) {
+	bucket := NewMem()
+	tier := New(bucket)
+	k := keyFor("E3", 1)
+	tab := tableFor("E3")
+	if _, err := tab.EncodedJSON(); err != nil {
+		t.Fatal(err)
+	}
+	before := result.Encodes()
+	if err := tier.Put(k, tab); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := tier.Get(context.Background(), k)
+	if !ok {
+		t.Fatal("miss after put")
+	}
+	// Republishing the table a verified read returned is free too.
+	if err := New(NewMem()).Put(k, got); err != nil {
+		t.Fatal(err)
+	}
+	if raw := result.Encodes() - before; raw != 0 {
+		t.Fatalf("Put of already-encoded tables performed %d raw encodes, want 0", raw)
+	}
+}
+
 func TestTwoTiersShareOneBucket(t *testing.T) {
 	// Two Tier handles over one client are the fleet picture: replica A
 	// writes through, replica B's next miss is a hit with no contact

@@ -17,11 +17,18 @@
 //	<dir>/objects/<fingerprint>.json   one table per file
 //	<dir>/index.json                   derived listing (rebuildable)
 //
-// Each object file is a small envelope: the canonical JSON of the table
-// (internal/result) plus a SHA-256 checksum of those canonical bytes.
+// Each object file is one fixed-layout envelope (EncodeEnvelope), the
+// same one the shared bucket tier stores:
+//
+//	{"checksum":"<64 hex>","table":<canonical table JSON>}\n
+//
 // The fingerprint in the file name addresses the content before it is
 // computed (it hashes the run identity — experiment id, seed, quick,
-// schema version); the checksum inside detects damage after.
+// schema version); the checksum inside detects damage after, and the
+// table's id must be the one its key names, so an object copied under
+// another fingerprint is damage too. A verified object's table bytes
+// are served as they are: the decoded table's encoded view is the
+// stored bytes, never a re-encode.
 //
 // # Durability and concurrency
 //
@@ -44,8 +51,6 @@ package store
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -69,21 +74,18 @@ type Store struct {
 	hits    uint64
 	misses  uint64
 	puts    uint64
-	corrupt uint64 // reads that failed the checksum/decode
+	corrupt uint64 // reads that failed the checksum/decode/id check
+	// misfiled maps the fingerprint of each object a Get found holding
+	// another experiment's table to the id its key names, so Prune can
+	// remove it (the scan alone cannot tell: it knows fingerprints, not
+	// keys). A Put for the fingerprint clears the mark.
+	misfiled map[string]string
 
 	// indexMu serializes read-modify-write cycles on index.json within
 	// this process. Cross-process writers can still interleave, which at
 	// worst leaves the advisory index stale — the objects directory is
 	// the source of truth and Index falls back to a full rebuild.
 	indexMu sync.Mutex
-}
-
-// envelope is the on-disk object form.
-type envelope struct {
-	// Checksum is the hex SHA-256 of Table (the canonical table bytes).
-	Checksum string `json:"checksum"`
-	// Table is the canonical table encoding, embedded verbatim.
-	Table json.RawMessage `json:"table"`
 }
 
 // Entry describes one cached object in the index.
@@ -98,8 +100,9 @@ type Entry struct {
 	// Unix is the object's modification time (seconds).
 	Unix int64 `json:"unix"`
 	// Damaged marks an object that was read successfully but failed the
-	// checksum/decode — proven corruption, as opposed to a transient
-	// read failure (which leaves ID empty and Damaged false).
+	// checksum/decode, or that a Get found answering for another id —
+	// proven corruption, as opposed to a transient read failure (which
+	// leaves ID empty and Damaged false).
 	Damaged bool `json:"damaged,omitempty"`
 }
 
@@ -109,49 +112,61 @@ type Stats struct {
 	Objects int   `json:"objects"`
 	Bytes   int64 `json:"bytes"`
 	// Hits/Misses/Puts/Corrupt count this handle's operations: Corrupt
-	// counts reads that failed the checksum/decode (the object stays in
-	// place and is healed by the next Put for its fingerprint).
+	// counts reads that failed the checksum/decode/id check (the object
+	// stays in place and is healed by the next Put for its fingerprint).
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
 	Puts    uint64 `json:"puts"`
 	Corrupt uint64 `json:"corrupt"`
 }
 
-// orphanTTL is how old a leftover temp file must be before startup and
-// Prune sweeps remove it. A crash mid-write leaves its ".tmp-*" file
-// behind forever (the rename never happened), but a *young* temp file
-// may be another process's in-flight write on a shared directory —
-// deleting it would fail that writer's rename. An hour is far beyond
-// any legitimate write's lifetime and far below "accumulating junk".
+// orphanTTL is how old a leftover temp file must be before a sweep
+// removes it. A crash mid-write leaves its temp file behind forever (the
+// rename never happened), but a *young* temp file may be another
+// process's in-flight write on a shared directory — deleting it would
+// fail that writer's rename. An hour is far beyond any legitimate
+// write's lifetime and far below "accumulating junk".
 const orphanTTL = time.Hour
 
-// sweepOrphans removes temp files older than ttl from the store root
-// and the objects directory — the debris of writers that crashed
-// between CreateTemp and Rename. Failures are ignored file by file
-// (the sweep is hygiene, not correctness: orphans are invisible to
-// every read path, which matches on "<fingerprint>.json" names).
-func (s *Store) sweepOrphans(ttl time.Duration) int {
-	removed := 0
-	cutoff := time.Now().Add(-ttl)
-	for _, dir := range []string{s.dir, filepath.Join(s.dir, "objects")} {
-		des, err := os.ReadDir(dir)
-		if err != nil {
-			continue
-		}
+// SweepOrphans removes the files in dirs whose names start with prefix
+// and that are older than an hour — the debris of WriteAtomic callers
+// that crashed between creating the temp file and renaming it. Failures
+// are ignored file by file: the sweep is hygiene, not correctness, since
+// every read path matches exact object names. The disk store sweeps its
+// ".tmp-" files, the filesystem bucket its "put-" files.
+func SweepOrphans(prefix string, dirs ...string) {
+	cutoff := time.Now().Add(-orphanTTL)
+	for _, dir := range dirs {
+		des, _ := os.ReadDir(dir)
 		for _, de := range des {
-			if !strings.HasPrefix(de.Name(), ".tmp-") || de.IsDir() {
+			if !strings.HasPrefix(de.Name(), prefix) || de.IsDir() {
 				continue
 			}
-			info, err := de.Info()
-			if err != nil || info.ModTime().After(cutoff) {
-				continue
-			}
-			if os.Remove(filepath.Join(dir, de.Name())) == nil {
-				removed++
+			if info, err := de.Info(); err == nil && info.ModTime().Before(cutoff) {
+				os.Remove(filepath.Join(dir, de.Name()))
 			}
 		}
 	}
-	return removed
+}
+
+// WriteAtomic writes data to a temp file named by pattern (as for
+// os.CreateTemp) in path's directory and renames it over path, so
+// readers in any process sharing the directory observe the old file or
+// the new one, never a partial write.
+func WriteAtomic(path, pattern string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 // Open returns a handle on dir, creating the layout if needed. Orphaned
@@ -162,9 +177,18 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	s := &Store{dir: dir}
-	s.sweepOrphans(orphanTTL)
+	s := &Store{dir: dir, misfiled: map[string]string{}}
+	s.sweepOrphans()
 	return s, nil
+}
+
+// tmpPrefix names the store's in-flight writes.
+const tmpPrefix = ".tmp-"
+
+// sweepOrphans clears crashed writes from the root and objects
+// directories.
+func (s *Store) sweepOrphans() {
+	SweepOrphans(tmpPrefix, s.dir, filepath.Join(s.dir, "objects"))
 }
 
 // Dir returns the store's root directory.
@@ -193,24 +217,27 @@ func validFingerprint(fp string) bool {
 }
 
 // errCorrupt marks an object that was read in full but failed the
-// checksum or decode — proven damage, distinct from transient I/O
-// failure.
+// checksum, decode or id check — proven damage, distinct from transient
+// I/O failure.
 var errCorrupt = errors.New("store: object corrupt")
 
 // Get returns the cached table for a key, or (nil, false) on a miss.
 // Corrupt or unreadable objects count as misses; the caller's
-// recompute-and-Put overwrites a damaged object in place. Only the
-// fingerprint participates in the lookup — the id and params in the key
-// are for request-shaped tiers. The context is ignored: a local disk
-// read is not worth making interruptible.
+// recompute-and-Put overwrites a damaged object in place. The
+// fingerprint names the file; the object must then answer for k.ID. The
+// context is ignored: a local disk read is not worth making
+// interruptible.
 func (s *Store) Get(_ context.Context, k Key) (*result.Table, bool) {
-	t, err := s.read(k.Fingerprint)
+	t, err := s.read(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil || t == nil {
 		s.misses++
 		if errors.Is(err, errCorrupt) {
 			s.corrupt++
+		}
+		if errors.Is(err, errMisfiled) {
+			s.misfiled[k.Fingerprint] = k.ID
 		}
 		return nil, false
 	}
@@ -221,37 +248,20 @@ func (s *Store) Get(_ context.Context, k Key) (*result.Table, bool) {
 // read loads and verifies one object: (nil, nil) means absent, an
 // errCorrupt-wrapped error means present but damaged, any other error
 // is a (possibly transient) read failure. Nothing is ever deleted here.
-func (s *Store) read(fp string) (*result.Table, error) {
-	if !validFingerprint(fp) {
+func (s *Store) read(k Key) (*result.Table, error) {
+	if !validFingerprint(k.Fingerprint) {
 		return nil, nil
 	}
-	raw, err := os.ReadFile(s.objectPath(fp))
+	raw, err := os.ReadFile(s.objectPath(k.Fingerprint))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	t, err := decodeEnvelope(raw)
+	t, err := DecodeEnvelope(raw, k)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	return t, nil
-}
-
-// decodeEnvelope parses and checksum-verifies an object file.
-func decodeEnvelope(raw []byte) (*result.Table, error) {
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, fmt.Errorf("store: parsing object: %w", err)
-	}
-	sum := sha256.Sum256(env.Table)
-	if hex.EncodeToString(sum[:]) != env.Checksum {
-		return nil, fmt.Errorf("store: object checksum mismatch")
-	}
-	t, err := result.DecodeJSON(strings.NewReader(string(env.Table)))
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", errCorrupt, err)
 	}
 	return t, nil
 }
@@ -263,29 +273,17 @@ func (s *Store) Put(k Key, t *result.Table) error {
 	if !validFingerprint(fp) {
 		return fmt.Errorf("store: malformed fingerprint %q", fp)
 	}
-	// The memoized wire form is the canonical bytes plus a trailing
-	// newline; slicing it off shares the memo's array (read-only here),
-	// so a table that any tier or response has already touched costs
-	// this Put zero raw encodes.
-	enc, err := t.EncodedJSON()
+	blob, err := EncodeEnvelope(t)
 	if err != nil {
 		return fmt.Errorf("store: encoding table %s: %w", t.ID, err)
 	}
-	canonical := enc[:len(enc)-1]
-	sum := sha256.Sum256(canonical)
-	blob, err := json.Marshal(envelope{
-		Checksum: hex.EncodeToString(sum[:]),
-		Table:    json.RawMessage(canonical),
-	})
-	if err != nil {
-		return err
-	}
 	data := append(blob, '\n')
-	if err := s.writeAtomic(s.objectPath(fp), data); err != nil {
+	if err := WriteAtomic(s.objectPath(fp), tmpPrefix+"*", data); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	s.puts++
+	delete(s.misfiled, fp)
 	s.mu.Unlock()
 	return s.upsertIndex(Entry{
 		Fingerprint: fp,
@@ -295,26 +293,8 @@ func (s *Store) Put(k Key, t *result.Table) error {
 	})
 }
 
-// writeAtomic writes data to a same-directory temp file and renames it
-// over path.
-func (s *Store) writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
 // Entries scans the objects directory and returns the live index,
-// sorted by fingerprint. Damaged objects appear with an empty ID — they
+// sorted by fingerprint. Damaged objects appear with Damaged set — they
 // are visible (and prunable) but not trusted.
 func (s *Store) Entries() ([]Entry, error) {
 	names, err := os.ReadDir(filepath.Join(s.dir, "objects"))
@@ -336,6 +316,12 @@ func (s *Store) Entries() ([]Entry, error) {
 		if raw, err := os.ReadFile(s.objectPath(fp)); err == nil {
 			if t, err := decodeEnvelope(raw); err == nil {
 				e.ID = t.ID
+				s.mu.Lock()
+				want, misfiled := s.misfiled[fp]
+				s.mu.Unlock()
+				// A Get proved this fingerprint belongs to another id;
+				// the object is damage unless a Put has since healed it.
+				e.Damaged = misfiled && e.ID != want
 			} else {
 				// Read in full but failed the checksum/decode: proven
 				// corruption. A transient ReadFile failure leaves the
@@ -355,7 +341,7 @@ func (s *Store) writeIndex(entries []Entry) error {
 	if err != nil {
 		return err
 	}
-	return s.writeAtomic(filepath.Join(s.dir, "index.json"), append(blob, '\n'))
+	return WriteAtomic(filepath.Join(s.dir, "index.json"), tmpPrefix+"*", append(blob, '\n'))
 }
 
 // rewriteIndex regenerates index.json from a full objects-directory
@@ -436,13 +422,14 @@ func (s *Store) Stats() (Stats, error) {
 }
 
 // Prune removes every object older than maxAge and every provably
-// damaged object regardless of age (checksum/decode failures only — an
+// damaged object regardless of age (checksum/decode failures, and
+// objects this handle's Gets found answering for another id — an
 // object that merely failed to read, e.g. under fd exhaustion or a
 // permission hiccup, is left alone), returning how many were removed.
 // It also sweeps temp files orphaned by a crash mid-write (not counted
 // in the return — they were never objects).
 func Prune(s *Store, maxAge time.Duration) (int, error) {
-	s.sweepOrphans(orphanTTL)
+	s.sweepOrphans()
 	entries, err := s.Entries()
 	if err != nil {
 		return 0, err

@@ -262,7 +262,7 @@ func TestPrune(t *testing.T) {
 	}
 	oldKey, newKey := keyFor("E1", 1), keyFor("E2", 2)
 	for _, k := range []Key{oldKey, newKey} {
-		if err := s.Put(k, tableFor("EX")); err != nil {
+		if err := s.Put(k, tableFor(k.ID)); err != nil {
 			t.Fatal(err)
 		}
 	}
